@@ -84,12 +84,29 @@ impl Replica {
 pub struct HandleState {
     /// Per-memory-node replicas (index 0 = main memory).
     pub replicas: Vec<Replica>,
-    /// The task that last wrote this handle (sequential-consistency
-    /// tracking); `None` once the write is known complete and observed by
-    /// a host access.
+    /// The in-flight task that last wrote this handle (sequential-
+    /// consistency tracking); `None` once that writer has completed and
+    /// retired, or a host write took the data over.
     pub last_writer: Option<Arc<Task>>,
-    /// Tasks that read the handle since the last write.
+    /// In-flight tasks that read the handle since the last write.
     pub readers: Vec<Arc<Task>>,
+    /// Virtual finish time of the retired last writer: the floor every
+    /// later access starts from.
+    pub writer_vdone: VTime,
+    /// Max virtual finish time of readers retired since the last write:
+    /// the floor the next writer starts from.
+    pub readers_vdone: VTime,
+}
+
+impl HandleState {
+    /// Forgets the access history and its floors (a write by the host or a
+    /// new writer task takes the data over).
+    pub(crate) fn reset_history(&mut self) {
+        self.last_writer = None;
+        self.readers.clear();
+        self.writer_vdone = VTime::ZERO;
+        self.readers_vdone = VTime::ZERO;
+    }
 }
 
 pub(crate) struct HandleInner {
@@ -172,6 +189,8 @@ impl DataHandle {
                     replicas,
                     last_writer: None,
                     readers: Vec::new(),
+                    writer_vdone: VTime::ZERO,
+                    readers_vdone: VTime::ZERO,
                 }),
             }),
         }
@@ -235,9 +254,11 @@ impl DataHandle {
         out
     }
 
-    /// Records a task access at submission time and returns the tasks it
-    /// depends on: the last writer (for any access) plus all readers since
-    /// the last write (for writing accesses).
+    /// Records a task access at submission time and returns the in-flight
+    /// tasks it depends on: the last writer (for any access) plus all
+    /// readers since the last write (for writing accesses). Completed
+    /// predecessors have retired (see [`DataHandle::retire`]); their finish
+    /// times reach the task through the history's floors instead.
     pub(crate) fn record_access(&self, task: &Arc<Task>, mode: AccessMode) -> Vec<Arc<Task>> {
         let mut st = self.inner.state.lock();
         let mut deps = Vec::new();
@@ -247,17 +268,41 @@ impl DataHandle {
             }
         }
         if mode.writes() {
-            for r in &st.readers {
-                if r.id != task.id {
-                    deps.push(Arc::clone(r));
-                }
-            }
+            task.observe_dep(st.writer_vdone.max(st.readers_vdone));
+            deps.extend(st.readers.iter().filter(|r| r.id != task.id).cloned());
+            st.reset_history();
             st.last_writer = Some(Arc::clone(task));
-            st.readers.clear();
-        } else if !st.readers.iter().any(|r| r.id == task.id) {
-            st.readers.push(Arc::clone(task));
+        } else {
+            task.observe_dep(st.writer_vdone);
+            // A task reading one handle twice records both reads back to
+            // back. A concurrent submitter can slip in between and leave a
+            // duplicate entry, which `retire` removes along with the first.
+            if st.readers.last().is_none_or(|r| r.id != task.id) {
+                st.readers.push(Arc::clone(task));
+            }
         }
         deps
+    }
+
+    /// Removes a completed task from the access history, folding its
+    /// virtual finish time into the floor its successors-to-be start from.
+    /// Called once per access right after [`Task::complete`], so a
+    /// submission racing the completion either links to the task (and sees
+    /// it completed) or finds the floor.
+    pub(crate) fn retire(&self, task: &Task, mode: AccessMode, vfinish: VTime) {
+        let mut st = self.inner.state.lock();
+        if mode.writes() {
+            if st.last_writer.as_ref().is_some_and(|w| w.id == task.id) {
+                st.last_writer = None;
+                st.writer_vdone = vfinish;
+            }
+        } else {
+            let before = st.readers.len();
+            st.readers.retain(|r| r.id != task.id);
+            if st.readers.len() != before {
+                st.readers_vdone = st.readers_vdone.max(vfinish);
+            }
+        }
     }
 }
 
@@ -316,6 +361,32 @@ mod tests {
         assert!(!h.valid_on(2));
         assert_eq!(h.valid_nodes(), vec![0]);
         assert_eq!(h.bytes(), 32);
+    }
+
+    #[test]
+    fn completed_tasks_retire_from_the_access_history() {
+        use crate::{Arch, Codelet, Runtime, SchedulerKind, TaskBuilder};
+        use peppher_sim::MachineConfig;
+
+        let rt = Runtime::new(MachineConfig::cpu_only(2), SchedulerKind::Dmda);
+        let c = Arc::new(Codelet::new("nop").with_impl(Arch::Cpu, |_| {}));
+        let h = rt.register(vec![0u8; 8]);
+        TaskBuilder::new(&c)
+            .access(&h, AccessMode::Write)
+            .submit(&rt);
+        for _ in 0..10_000 {
+            TaskBuilder::new(&c)
+                .access(&h, AccessMode::Read)
+                .submit(&rt);
+        }
+        rt.wait_all();
+        let st = h.inner.state.lock();
+        assert!(st.last_writer.is_none(), "the completed writer retired");
+        assert!(
+            st.readers.is_empty(),
+            "{} completed readers kept",
+            st.readers.len()
+        );
     }
 
     #[test]

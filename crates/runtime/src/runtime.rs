@@ -294,9 +294,13 @@ impl RuntimeInner {
     /// transfer in the trace). All read operands are pinned first so one
     /// prefetch cannot evict a sibling operand fetched a moment earlier.
     fn prefetch_for(&self, task: &Task) {
-        if !self.config.enable_prefetch {
-            return;
+        if self.config.enable_prefetch && task.start.begin_prefetch() {
+            self.prefetch_operands(task);
+            task.start.end_prefetch();
         }
+    }
+
+    fn prefetch_operands(&self, task: &Task) {
         let choice = *task.chosen.lock();
         if let Some(choice) = choice {
             let node = self.machine.worker_memory_node(choice.worker);
@@ -884,12 +888,8 @@ impl Runtime {
             &self.inner.memory,
         );
         coherence::mark_written(h, 0, vready, &self.inner.stats, &self.inner.memory);
-        {
-            // Every prior task has completed and the host now owns the data.
-            let mut st = h.inner.state.lock();
-            st.last_writer = None;
-            st.readers.clear();
-        }
+        // Every prior task has completed and the host now owns the data.
+        h.inner.state.lock().reset_history();
         let cell = coherence::cell_for(h, 0);
         HostWriteGuard {
             guard: cell.write_arc(),
@@ -942,8 +942,7 @@ impl Runtime {
             }
             st.replicas[0].status = ReplicaStatus::Modified;
             // Every prior task has completed and the host owns the data.
-            st.last_writer = None;
-            st.readers.clear();
+            st.reset_history();
             freed
         };
         for (i, cell) in freed {

@@ -10,7 +10,7 @@ use crate::stats::RunId;
 use parking_lot::{Condvar, Mutex};
 use peppher_sim::{KernelCost, VTime};
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The scheduler's placement decision for a task (filled in by `dmda`;
@@ -32,6 +32,62 @@ pub(crate) struct TaskRunState {
     pub vdeps: VTime,
     /// Virtual completion time, valid once `completed`.
     pub vfinish: VTime,
+}
+
+/// Orders a ready task's operand prefetch before its execution. The
+/// prefetch runs after the task was pushed, so without this a worker could
+/// pop, run and complete the task while the prefetch still copies its
+/// operands — and a host `unregister` or `acquire_write` that waited for
+/// the task would then race the copy (found as a "source replica has no
+/// buffer" panic in a worker). A prefetch only starts before the task
+/// does, and the task's worker waits out a prefetch in progress.
+pub(crate) struct StartGate(AtomicU8);
+
+impl StartGate {
+    const IDLE: u8 = 0;
+    const PREFETCHING: u8 = 1;
+    const STARTED: u8 = 2;
+
+    fn new() -> Self {
+        StartGate(AtomicU8::new(Self::IDLE))
+    }
+
+    /// Claims the prefetch; `false` once the task has started. Acquire
+    /// pairs with [`StartGate::reset`]'s release for replayed tasks.
+    pub(crate) fn begin_prefetch(&self) -> bool {
+        self.0
+            .compare_exchange(
+                Self::IDLE,
+                Self::PREFETCHING,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            )
+            .is_ok()
+    }
+
+    /// Ends a claimed prefetch. Release pairs with the acquire in
+    /// [`StartGate::start`], so the task sees the prefetch's effects.
+    pub(crate) fn end_prefetch(&self) {
+        self.0.store(Self::IDLE, Ordering::Release);
+    }
+
+    /// Marks the task started, first waiting out a prefetch in progress
+    /// (a short copy; the waiting worker holds no lock).
+    pub(crate) fn start(&self) {
+        while let Err(Self::PREFETCHING) = self.0.compare_exchange(
+            Self::IDLE,
+            Self::STARTED,
+            Ordering::Acquire,
+            Ordering::Relaxed,
+        ) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Re-arms the gate for a replayed graph task.
+    fn reset(&self) {
+        self.0.store(Self::IDLE, Ordering::Release);
+    }
 }
 
 /// Placement table precomputed when a task is recorded into a
@@ -115,6 +171,8 @@ pub struct Task {
     ndeps: AtomicUsize,
     successors: Mutex<Vec<Arc<Task>>>,
     pub(crate) state: Mutex<TaskRunState>,
+    /// Orders the operand prefetch before execution (see [`StartGate`]).
+    pub(crate) start: StartGate,
     pub(crate) cv: Condvar,
 }
 
@@ -144,6 +202,7 @@ impl Task {
             st.vfinish = VTime::ZERO;
         }
         self.ndeps.store(preds, Ordering::Release);
+        self.start.reset();
         self.run_tag.store(run.pack(), Ordering::Relaxed);
     }
 
@@ -421,6 +480,7 @@ impl TaskBuilder {
             footprint,
             ndeps: AtomicUsize::new(1), // submission guard
             successors: Mutex::new(Vec::new()),
+            start: StartGate::new(),
             state: Mutex::new(TaskRunState {
                 completed: false,
                 vdeps: VTime::ZERO,

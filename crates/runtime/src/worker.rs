@@ -146,6 +146,7 @@ fn run_one(
     task: Arc<Task>,
     direct: bool,
 ) -> Option<Arc<Task>> {
+    task.start.start();
     // Cancellation drain: a cancelled job's tasks complete without
     // executing, so dependents unwind and the job's `cancel()` unblocks,
     // but nothing touches operand data or device memory.
@@ -188,6 +189,13 @@ fn run_one(
     };
     for succ in task.complete(vfinish) {
         inner.push_ready(succ);
+    }
+    // Submitted tasks leave their handles' access histories, so a history
+    // holds only in-flight tasks (recorded graph tasks never entered one).
+    if task.graph.is_none() {
+        for (h, mode) in &task.accesses {
+            h.retire(&task, *mode, vfinish);
+        }
     }
     // Recorded graph tasks route completion through the instance's edge
     // lists (their per-task successor list above is empty).
