@@ -9,6 +9,7 @@ use crate::stats::RunId;
 use crate::task::{StaticPlacement, Task, TaskBuilder};
 use parking_lot::{Condvar, Mutex};
 use peppher_sim::VTime;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -63,7 +64,8 @@ pub(crate) struct InstanceCore {
     frozen_epoch: AtomicU64,
     /// Max task vfinish (nanoseconds) seen this iteration.
     iter_max_ns: AtomicU64,
-    runs: Mutex<Vec<RunRecord>>,
+    /// The newest [`RUN_LOG_CAP`] completed iterations, oldest first.
+    runs: Mutex<VecDeque<RunRecord>>,
     /// `true` once the requested batch of iterations has fully completed.
     done: Mutex<bool>,
     cv: Condvar,
@@ -213,7 +215,13 @@ impl InstanceCore {
             iteration: self.total_runs.load(Ordering::Relaxed),
         };
         let vfinish = VTime::from_nanos(self.iter_max_ns.load(Ordering::Relaxed));
-        self.runs.lock().push(RunRecord { run, vfinish });
+        {
+            let mut runs = self.runs.lock();
+            if runs.len() == RUN_LOG_CAP {
+                runs.pop_front();
+            }
+            runs.push_back(RunRecord { run, vfinish });
+        }
         self.total_runs.fetch_add(1, Ordering::Relaxed);
         if self.iters_left.load(Ordering::Relaxed) > 0 {
             self.iters_left.fetch_sub(1, Ordering::Relaxed);
@@ -290,7 +298,7 @@ pub(crate) fn instantiate(
             freeze_after: AtomicU32::new(DEFAULT_FREEZE_AFTER),
             frozen_epoch: AtomicU64::new(0),
             iter_max_ns: AtomicU64::new(0),
-            runs: Mutex::new(Vec::new()),
+            runs: Mutex::new(VecDeque::new()),
             done: Mutex::new(false),
             cv: Condvar::new(),
         }
@@ -308,6 +316,11 @@ pub(crate) fn instantiate(
 /// ([`crate::RuntimeConfig::calibration_min`] = 3) so `dmda` places with
 /// calibrated history models before the decision is frozen.
 const DEFAULT_FREEZE_AFTER: u32 = 4;
+
+/// How many completed iterations [`GraphInstance::runs`] keeps. A
+/// long-lived instance replays without bound, so the log is a ring: it
+/// must not grow memory with replay throughput.
+const RUN_LOG_CAP: usize = 1024;
 
 /// An instantiated [`TaskGraph`]: long-lived tasks over instance-private
 /// handles, executable any number of times.
@@ -398,9 +411,10 @@ impl GraphInstance {
         }
     }
 
-    /// Completed iterations, in order.
+    /// The most recent completed iterations, oldest first: at most the
+    /// newest 1,024 are kept, older ones are dropped as new ones complete.
     pub fn runs(&self) -> Vec<RunRecord> {
-        self.core.runs.lock().clone()
+        self.core.runs.lock().iter().copied().collect()
     }
 
     /// Overrides the replay count after which placements are frozen
@@ -412,7 +426,7 @@ impl GraphInstance {
 
 #[cfg(test)]
 mod tests {
-    use super::DEFAULT_FREEZE_AFTER;
+    use super::{DEFAULT_FREEZE_AFTER, RUN_LOG_CAP};
     use crate::codelet::{Arch, ArchClass, Codelet};
     use crate::graph::{GraphTask, TaskGraph};
     use crate::handle::AccessMode;
@@ -460,6 +474,27 @@ mod tests {
         // calibration window.
         inst.execute_many(DEFAULT_FREEZE_AFTER + 1);
         assert!(inst.core.is_frozen(), "re-frozen after re-calibration");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn run_log_keeps_the_newest_iterations() {
+        let rt = Runtime::new(MachineConfig::cpu_only(2), SchedulerKind::Eager);
+        let c = Arc::new(Codelet::new("runlog_cl").with_impl(Arch::Cpu, |_| {}));
+        let mut g = TaskGraph::new();
+        let s = g.slot(vec![0.0f32; 4]);
+        g.add(GraphTask::new(&c).access(s, AccessMode::ReadWrite));
+        let inst = g.instantiate(&rt);
+        let total = RUN_LOG_CAP as u32 + 100;
+        let last = inst.execute_many(total);
+        assert_eq!(last.iteration, total - 1);
+        let runs = inst.runs();
+        assert_eq!(runs.len(), RUN_LOG_CAP, "the log holds exactly the cap");
+        assert_eq!(runs.last().map(|r| r.run), Some(last), "newest last");
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(r.run.instance, inst.instance_id());
+            assert_eq!(r.run.iteration, total - RUN_LOG_CAP as u32 + i as u32);
+        }
         rt.shutdown();
     }
 

@@ -397,10 +397,6 @@ impl Scheduler for DmdarScheduler {
         Some(w)
     }
 
-    fn has_ready(&self, worker: usize) -> bool {
-        self.queues[worker].lock().total_len() > 0
-    }
-
     fn pop_for_worker(
         &self,
         worker: usize,

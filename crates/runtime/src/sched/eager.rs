@@ -6,7 +6,6 @@ use super::{SchedCtx, Scheduler};
 use crate::memory::MemoryView;
 use crate::task::Task;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One global queue; an idle worker takes the highest-priority task it is
@@ -22,9 +21,6 @@ use std::sync::Arc;
 /// lane layer is a single bounds check.
 pub struct EagerScheduler {
     queue: Mutex<JobLanes<PrioQueue>>,
-    /// Queue length mirror, maintained under the queue lock, so
-    /// [`Scheduler::has_ready`] is a lock-free load.
-    len: AtomicUsize,
 }
 
 impl EagerScheduler {
@@ -32,7 +28,6 @@ impl EagerScheduler {
     pub fn new() -> Self {
         EagerScheduler {
             queue: Mutex::new(JobLanes::new()),
-            len: AtomicUsize::new(0),
         }
     }
 }
@@ -48,12 +43,7 @@ impl Scheduler for EagerScheduler {
         let mut q = self.queue.lock();
         let job = Arc::clone(&task.job);
         q.queue_for(&job).push(task);
-        self.len.store(q.total_len(), Ordering::Release);
         None
-    }
-
-    fn has_ready(&self, _worker: usize) -> bool {
-        self.len.load(Ordering::Acquire) > 0
     }
 
     fn push_ready_batch(
@@ -67,7 +57,6 @@ impl Scheduler for EagerScheduler {
         for task in tasks {
             q.queue_for(&task.job).push(Arc::clone(task));
         }
-        self.len.store(q.total_len(), Ordering::Release);
         vec![None; tasks.len()]
     }
 
@@ -82,7 +71,6 @@ impl Scheduler for EagerScheduler {
             let mut q = self.queue.lock();
             let depth = q.total_len();
             let task = q.pop_with(|lane| lane.pop_where(|t| t.runnable_on(worker, is_gpu)))?;
-            self.len.store(q.total_len(), Ordering::Release);
             (task, depth)
         };
         let node = ctx.machine.worker_memory_node(worker);
@@ -155,10 +143,10 @@ mod tests {
         };
         let view = memory.view();
         let s = EagerScheduler::new();
-        assert!(!s.has_ready(0));
+        assert!(s.pop_for_worker(0, &view, &ctx).is_none());
+        assert!(s.pop_for_worker(1, &view, &ctx).is_none());
         s.push_ready(task(&[Arch::Gpu], 0), &ctx);
         s.push_ready(task(&[Arch::Cpu], 0), &ctx);
-        assert!(s.has_ready(0));
 
         // CPU worker 0 must skip the GPU-only task and take the CPU one.
         let got = s
@@ -171,7 +159,7 @@ mod tests {
             .expect("gpu task available");
         assert!(got.codelet.has_arch(Arch::Gpu));
         assert!(s.pop_for_worker(0, &view, &ctx).is_none());
-        assert!(!s.has_ready(0));
+        assert!(s.pop_for_worker(1, &view, &ctx).is_none());
     }
 
     #[test]

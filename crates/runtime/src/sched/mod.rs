@@ -197,11 +197,6 @@ pub trait Scheduler: Send + Sync {
     /// worker; `None` means any eligible worker may take it (central
     /// queue).
     fn push_ready(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize>;
-    /// Cheap check whether `pop_for_worker(worker, ..)` could possibly
-    /// return a task — idle workers consult this before paying for a
-    /// residency snapshot, so it may over-approximate (return `true` for a
-    /// task the worker cannot run) but must never under-approximate.
-    fn has_ready(&self, worker: usize) -> bool;
     /// Hands worker `worker` its next task, if any. `view` is a residency
     /// snapshot taken just before the call — one consistent picture of
     /// device memory for the whole queue scan.

@@ -53,10 +53,6 @@ impl Scheduler for RandomScheduler {
         Some(worker)
     }
 
-    fn has_ready(&self, worker: usize) -> bool {
-        self.queues[worker].lock().total_len() > 0
-    }
-
     fn push_ready_placed(&self, task: Arc<Task>, ctx: &SchedCtx<'_>) -> Option<usize> {
         // Keep the previous iteration's draw — re-rolling every replay
         // would burn RNG state for no scheduling benefit.

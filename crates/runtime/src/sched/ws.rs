@@ -65,11 +65,6 @@ impl Scheduler for WsScheduler {
         Some(worker)
     }
 
-    fn has_ready(&self, _worker: usize) -> bool {
-        // Any queue may feed this worker via stealing.
-        self.queues.iter().any(|q| q.lock().total_len() > 0)
-    }
-
     fn pop_for_worker(
         &self,
         worker: usize,

@@ -7,15 +7,15 @@ use crate::runtime::{RuntimeInner, TimingMode};
 use crate::stats::TraceEvent;
 use crate::task::{ExecChoice, Task};
 use peppher_sim::VTime;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// One pop attempt. The scheduler's `pop_for_worker` detects the empty
-/// queue itself — a separate `has_ready` pre-check would acquire the same
-/// queue lock twice per successful pop. Successful pops are wall-clock
-/// timed (snapshot + scheduling decision) into the worker's stats cell so
-/// benchmarks can report the scheduler's real per-dispatch decision cost.
+/// queue itself. Successful pops are wall-clock timed (snapshot +
+/// scheduling decision) into the worker's stats cell so benchmarks can
+/// report the scheduler's real per-dispatch decision cost.
 ///
 /// `view_cache` is the worker's private `(epoch, snapshot)` pair: the
 /// residency snapshot is refreshed only when the residency epoch moved, so
@@ -54,12 +54,112 @@ fn try_pop(
     Some(task)
 }
 
-/// Main loop of worker `worker`: pop tasks until shutdown, parking on the
-/// worker's own condvar while idle. Producers wake exactly the workers
-/// that received work (`wake_worker`/`wake_any_for` in runtime.rs) instead
-/// of broadcasting, so an N-worker runtime no longer pays a thundering
-/// herd per submit.
+/// How long an idle worker polls its [`Idle`] word before it parks in
+/// the OS. About three times the measured cost of a futex wake-up (a
+/// mean of 14.4 µs from `notify_one` until the woken worker ran, on a
+/// 2-vCPU VM), so a ready task handed over within the budget costs the
+/// producer one atomic swap, while a worker that stays idle longer wastes
+/// at most this much CPU — most of it yielded — per idle period.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// [`Idle`] states. Only the worker leaves `BUSY`; producers only move
+/// the word back to `BUSY`.
+const BUSY: u8 = 0;
+const SPINNING: u8 = 1;
+const PARKED: u8 = 2;
+
+/// One worker's idle protocol: a three-state word (`BUSY` / `SPINNING` /
+/// `PARKED`) plus the worker's thread handle for `unpark`. An idle
+/// worker publishes `SPINNING`, re-checks its queue, polls the word for
+/// [`SPIN_BUDGET`], then CASes `SPINNING → PARKED` and parks. A producer
+/// that enqueued work for the worker swaps the word to `BUSY` and calls
+/// `unpark` only if it was `PARKED`, so waking a spinning worker costs no
+/// system call. The swap also claims the worker: concurrent producers pay
+/// at most one `unpark` between them.
+pub(crate) struct Idle {
+    state: AtomicU8,
+    /// Set by the worker when its loop starts, before it can ever leave
+    /// `BUSY` — so a producer that saw `PARKED` always finds it.
+    thread: OnceLock<Thread>,
+}
+
+impl Idle {
+    pub(crate) fn new() -> Self {
+        Idle {
+            state: AtomicU8::new(BUSY),
+            thread: OnceLock::new(),
+        }
+    }
+
+    /// Whether the worker is spinning or parked (or about to be).
+    pub(crate) fn is_idle(&self) -> bool {
+        self.state.load(Ordering::SeqCst) != BUSY
+    }
+
+    /// Producer side: claims the worker and unparks it if it blocked in
+    /// the OS. Returns whether the worker was idle, i.e. whether this call
+    /// is the one that woke it.
+    pub(crate) fn wake(&self) -> bool {
+        match self.state.swap(BUSY, Ordering::SeqCst) {
+            BUSY => false,
+            SPINNING => true,
+            _ => {
+                self.thread
+                    .get()
+                    .expect("a worker registers its thread before it can park")
+                    .unpark();
+                true
+            }
+        }
+    }
+
+    /// Worker side, after `SPINNING` was published and the re-check pop
+    /// came back empty: polls the word for [`SPIN_BUDGET`], yielding the
+    /// CPU between polls. Returns `true` if a producer claimed the worker
+    /// meanwhile, `false` once the word is `PARKED` and the worker must
+    /// [`Idle::park`].
+    ///
+    /// The spin yields because on a host with as many vCPUs as workers a
+    /// pure busy-wait can occupy the CPU the producer it waits for needs.
+    fn spin(&self) -> bool {
+        let start = Instant::now();
+        while start.elapsed() < SPIN_BUDGET {
+            if self.state.load(Ordering::SeqCst) == BUSY {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        if self
+            .state
+            .compare_exchange(SPINNING, PARKED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            // Claimed between the last poll and the CAS.
+            return true;
+        }
+        false
+    }
+
+    /// Blocks in the OS until a producer claims the word.
+    fn park(&self) {
+        // `park` may return spuriously, or on a token left by an earlier
+        // `unpark` that raced a poll; only the word says we were claimed.
+        while self.state.load(Ordering::SeqCst) == PARKED {
+            std::thread::park();
+        }
+    }
+}
+
+/// Main loop of worker `worker`: pop tasks until shutdown, spinning and
+/// then parking on the worker's own [`Idle`] word while idle. Producers
+/// wake exactly the workers that received work (`wake_worker`/
+/// `wake_any_for` in runtime.rs) instead of broadcasting, so an N-worker
+/// runtime does not pay a thundering herd per submit.
 pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker: usize) {
+    let idle = &inner.idle[worker];
+    idle.thread
+        .set(std::thread::current())
+        .expect("each worker loop starts once");
     // Frozen graph replays chain task-to-task: `run_one` hands back the
     // ready successor placed on this very worker, which runs without ever
     // touching the scheduler queues.
@@ -75,27 +175,24 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, worker: usize) {
             run_chain(t);
             continue;
         }
-        // Publish idleness, then recheck: a producer either sees the flag
-        // (and wakes us) or pushed before we set it (and the recheck finds
-        // the task). Either way no wakeup is lost.
-        inner.idle[worker].store(true, Ordering::SeqCst);
+        // Publish idleness, then recheck: a producer either sees the word
+        // (and claims us) or pushed before we set it (and the recheck
+        // finds the task). Either way no wakeup is lost.
+        idle.state.store(SPINNING, Ordering::SeqCst);
         if let Some(t) = try_pop(&inner, worker, &mut view_cache) {
-            inner.idle[worker].store(false, Ordering::SeqCst);
+            idle.state.store(BUSY, Ordering::SeqCst);
             run_chain(t);
             continue;
         }
         if inner.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        {
-            let parker = &inner.parkers[worker];
-            let mut token = parker.token.lock();
-            while !*token {
-                parker.cv.wait(&mut token);
-            }
-            *token = false;
+        if idle.spin() {
+            inner.stats.record_spin_handoff(worker);
+        } else {
+            inner.stats.record_park(worker);
+            idle.park();
         }
-        inner.idle[worker].store(false, Ordering::SeqCst);
     }
 }
 
