@@ -96,6 +96,10 @@ pub struct HandleState {
     /// Max virtual finish time of readers retired since the last write:
     /// the floor the next writer starts from.
     pub readers_vdone: VTime,
+    /// Bumped by every write that takes the data over (a writer task's
+    /// ownership and completion, a host write). A copy started before a
+    /// bump carries stale contents.
+    pub version: u64,
 }
 
 impl HandleState {
@@ -191,6 +195,7 @@ impl DataHandle {
                     readers: Vec::new(),
                     writer_vdone: VTime::ZERO,
                     readers_vdone: VTime::ZERO,
+                    version: 0,
                 }),
             }),
         }
